@@ -9,7 +9,7 @@
 //! IR-grids are assigned probability 1 — and this module additionally
 //! guards every sample point so stray evaluations contribute 0.
 
-use crate::num::{erf_gauss_lut, normal_pdf, simpson};
+use crate::num::{erf_gauss_lut, normal_pdf, simpson, ERF_LUT_CUTOFF};
 use crate::routing::{NetType, RoutingRange};
 
 /// Tuning of the Theorem 1 evaluation.
@@ -289,7 +289,19 @@ pub(crate) struct ExitCdf {
     e0: f64,
     e1: f64,
     e2: f64,
+    /// Saturation window `(lo, hi)`: at every `x ≤ lo`, `below(x)` is
+    /// exactly `0.0`, at every `x ≥ hi` exactly `total()` (see
+    /// [`ExitCdf::below_clipped`]).
+    saturated: (f64, f64),
 }
+
+/// `|s|` at which the saturation window is placed: a quarter unit of
+/// `s` beyond [`ERF_LUT_CUTOFF`], where [`erf_gauss_lut`] starts
+/// returning exactly `(±1, 0)`, so the window's own rounding (a few
+/// ulps of `x`, hence ~1e-13 of `s` even for the steepest exits) can
+/// never let a boundary whose `s` sits inside the LUT's range be
+/// treated as saturated.
+const WINDOW_S: f64 = ERF_LUT_CUTOFF + 0.25;
 
 /// 7-point Gauss–Hermite nodes and weights (weight function `e^{−s²}`).
 const GAUSS_HERMITE_7: [(f64, f64); 7] = [
@@ -319,6 +331,7 @@ impl ExitCdf {
             e0: 0.0,
             e1: 0.0,
             e2: 0.0,
+            saturated: (f64::NAN, f64::NAN),
         };
         if !(r > 0.0 && denom_var > 0.0 && slope > 0.0 && g1f > 1.0) {
             // The integrand is identically zero (collapsed variance or
@@ -346,14 +359,18 @@ impl ExitCdf {
         let k = coefficient * r / (2.0 * std::f64::consts::PI * c).sqrt()
             * (slope * slope / (2.0 * c) - h_star).exp();
         let sqrt_pi = std::f64::consts::PI.sqrt();
-        let mut mom = [0.0f64; 4];
-        for &(s, w) in &GAUSS_HERMITE_7 {
-            // Invert s(q): (M+s²)q² − (2Mq*+s²)q + Mq*² = 0, whose
-            // discriminant is s²(s² + 4Mq*(1−q*)) exactly.
+        // Invert s(q): (M+s²)q² − (2Mq*+s²)q + Mq*² = 0, whose
+        // discriminant is s²(s² + 4Mq*(1−q*)) exactly.
+        let q_of_s = |s: f64| {
             let s2 = s * s;
             let root = s.abs() * (s2 + 4.0 * m * q_star * (1.0 - q_star)).sqrt();
             let num = 2.0 * m * q_star + s2 + if s >= 0.0 { root } else { -root };
-            let q = num / (2.0 * (m + s2));
+            num / (2.0 * (m + s2))
+        };
+        let mut mom = [0.0f64; 4];
+        for &(s, w) in &GAUSS_HERMITE_7 {
+            let s2 = s * s;
+            let q = q_of_s(s);
             let gv = 2.0 * q * (1.0 - q) / (sqrt_m * (q + q_star - 2.0 * q_star * q));
             mom[0] += w * gv;
             mom[1] += w * gv * (2.0 * s);
@@ -376,6 +393,10 @@ impl ExitCdf {
             e0: k * (a1 - 2.0 * a3),
             e1: k * 2.0 * a2,
             e2: k * 4.0 * a3,
+            // s(q) is increasing, so x(∓WINDOW_S) bound the boundaries
+            // whose |s| stays below the LUT's saturation point. A NaN
+            // bound (degenerate M) compares false and disables that side.
+            saturated: (q_of_s(-WINDOW_S) * r - y2f, q_of_s(WINDOW_S) * r - y2f),
         }
     }
 
@@ -402,9 +423,28 @@ impl ExitCdf {
         self.c_erf * (1.0 + erf_s) - (self.e0 + (self.e1 + self.e2 * s) * s) * gauss
     }
 
+    /// [`below`](Self::below), bit for bit, without evaluating it where
+    /// it is saturated. Outside the window computed once in
+    /// [`new`](Self::new), `|s| ≥ ERF_LUT_CUTOFF` and [`erf_gauss_lut`] returns
+    /// exactly `(±1, 0)`, so `below` reduces to `c_erf·0 − poly·0 = 0.0`
+    /// on the left and `c_erf·2 − poly·0 = total()` on the right — the
+    /// values returned here without the square root and table lookup.
+    /// About a third of the cell boundaries of an ami49 anneal's blocks
+    /// fall there.
+    pub(crate) fn below_clipped(&self, x: f64) -> f64 {
+        if x <= self.saturated.0 {
+            0.0
+        } else if x >= self.saturated.1 {
+            self.total()
+        } else {
+            self.below(x)
+        }
+    }
+
     /// The exit mass over `[a, b]` — the closed-form counterpart of
     /// [`ExitProfile::integral`]. The `max` guards the small negative
     /// lobes of the truncated Hermite series in the far tails.
+    #[cfg(test)]
     pub(crate) fn mass(&self, a: f64, b: f64) -> f64 {
         (self.below(b) - self.below(a)).max(0.0)
     }
@@ -704,6 +744,71 @@ mod tests {
                 (total - quad).abs() < 5e-3,
                 "total {total} vs Simpson {quad}"
             );
+        }
+    }
+
+    /// Asserts `below_clipped == below` bit for bit at every half-integer
+    /// (continuity-corrected) and integer boundary across the support and
+    /// two units beyond it; returns how many boundaries were saturated.
+    fn assert_clipped_exact(g1: i64, g2: i64, y2: i64) -> usize {
+        let cdf = ExitCdf::new(g1, g2, y2);
+        if cdf.kind() != ExitKind::Closed {
+            return 0;
+        }
+        let mut clipped = 0;
+        for k in (-y2 - 2)..=(g1 + g2 - 3 - y2 + 2) {
+            for x in [k as f64, k as f64 + 0.5] {
+                assert_eq!(
+                    cdf.below_clipped(x).to_bits(),
+                    cdf.below(x).to_bits(),
+                    "({g1}, {g2}, {y2}) at x = {x}"
+                );
+                if x <= cdf.saturated.0 || x >= cdf.saturated.1 {
+                    clipped += 1;
+                }
+            }
+        }
+        clipped
+    }
+
+    #[test]
+    fn clipped_cdf_is_exact_on_extreme_shapes() {
+        let mut clipped = 0;
+        for (g1, g2) in [
+            (31i64, 21i64),
+            (2, 2000),
+            (2000, 4),
+            (3, 1500),
+            (1500, 5),
+            (600, 600),
+            (1000, 37),
+        ] {
+            for y2 in 0..g2 {
+                clipped += assert_clipped_exact(g1, g2, y2);
+            }
+        }
+        assert!(clipped > 0, "the saturation window never applied");
+        // A typical exit line saturates on both sides.
+        let cdf = ExitCdf::new(31, 21, 15);
+        assert!(cdf.saturated.0 > -15.0 && cdf.saturated.1 < 31.0 + 21.0 - 3.0 - 15.0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// `below_clipped` equals `below` at every cell boundary of
+        /// generated `(g1, g2, line)` triples, aspect ratios up to ~1500:1
+        /// included.
+        fn clipped_cdf_equals_below(
+            scale in 0usize..3,
+            g1_raw in 0i64..1_000_000,
+            g2_raw in 0i64..1_000_000,
+            line in 0i64..1_000_000,
+        ) {
+            let bound = [16, 300, 3000][scale];
+            let (g1, g2) = (2 + g1_raw % bound, 3 + g2_raw % bound);
+            assert_clipped_exact(g1, g2, line % (g2 - 1));
+            assert_clipped_exact(g2, g1, line % (g1 - 1).max(1));
         }
     }
 

@@ -16,6 +16,16 @@
 //!   memoized in a `BTreeMap` (deterministic iteration; `HashMap` is
 //!   banned by lint rule D1) keyed by that signature, as `Arc<[i64]>` of
 //!   **Q32-quantized** probabilities.
+//! * **Recency window.** Reuse is short-ranged — nearly all memo hits go
+//!   to blocks used a few proposals earlier — while an ami49 block is
+//!   ≈1 040 IR cells × 8 B ≈ 8 KB and a run misses ≈300 of them per
+//!   move (≈20 k entries per 70 moves). Each entry is therefore stamped
+//!   with the proposal that last used it, and every [`MEMO_WINDOW`]
+//!   proposals a deterministic `retain` drops the entries not used in
+//!   the last `MEMO_WINDOW` — the memo never holds more than two
+//!   windows' worth of blocks. (The former 65 536-entry clear-on-full
+//!   memo grew a single 6 360-move ami49 anneal to 426 MB peak RSS; the
+//!   window holds it to 54 MB.)
 //! * **Integer totals.** Per-cell totals are `i64` sums of quantized
 //!   blocks (see [`crate::num::quantize_probability`]). Integer addition
 //!   commutes, so incremental subtract/add updates are bit-identical to
@@ -40,7 +50,11 @@
 //!   variable-variance normal-CDF antiderivative
 //!   [`ExitCdf`](super::approx::ExitCdf) turns every cell of every cut
 //!   pattern into two `erf` evaluations, O(cells) per block with no
-//!   quadrature loop at all.
+//!   quadrature loop at all. A missed block is scored by one fused
+//!   kernel straight into Q32 integers: cell boundaries outside an exit
+//!   line's saturation window skip the `erf` entirely (about a third
+//!   of them on ami49), and the pin override, clamp and quantization
+//!   run in the same pass that finishes each column.
 //!
 //! Scoring structure (corridors, the `g1 + g2` exact threshold,
 //! Theorem-1 row/column exit sweeps, pin override, clamp) is the
@@ -61,7 +75,7 @@ use std::sync::Arc;
 
 use irgrid_geom::{Point, Rect};
 
-use crate::num::{dequantize_total, quantize_probability, LnFactorials};
+use crate::num::{dequantize_total, quantize_probability, LnFactorials, PROBABILITY_FRACTION_BITS};
 use crate::routing::{NetType, RoutingRange};
 use crate::score::top_area_fraction_mean_in_place;
 use crate::UnitGrid;
@@ -75,13 +89,56 @@ use super::{Evaluator, IrCongestionMap, IrregularGridModel};
 /// cell dimensions matter).
 const KIND_CORRIDOR: i64 = 2;
 
-/// Default cap on memoized blocks. At ~50 cells × 16 B per block plus
-/// key overhead this bounds the memo near 100 MB worst case; in practice
-/// an ami49 run stabilizes around a few thousand entries.
-const DEFAULT_MEMO_CAPACITY: usize = 65_536;
+/// Proposals between memo sweeps, and the age in proposals past which a
+/// block not used since is dropped by a sweep. Picked by measurement on
+/// ami49 delta anneals — the change in blocks scored per proposal
+/// against the former 65 536-entry clear-on-full memo, and peak RSS:
+///
+/// | window | 11 × 65-move sessions | one 6 360-move session |
+/// |-------:|----------------------:|-----------------------:|
+/// | 4      | +1.2 %, 28 MB         | +18 % (cells +6.9 %), 32 MB |
+/// | 8      | +0.4 %, 49 MB         | +13 % (cells +5.2 %), 54 MB |
+/// | 16     | +0.1 %, 93 MB         | +8.5 % (cells +3.5 %), 94 MB |
+/// | old    | 0, 177 MB             | 0, 426 MB              |
+///
+/// Not a knob: results never depend on it, only the work done.
+const MEMO_WINDOW: u64 = 8;
+
+/// Q32 probability 1 (pin cells, corridors).
+const Q32_ONE: i64 = 1 << PROBABILITY_FRACTION_BITS;
 
 fn span_len(lo: usize, hi: usize) -> i64 {
     (hi - lo) as i64 // irgrid-lint: allow(C1): IR spans hold < 2^32 cut intervals, far inside i64
+}
+
+fn count(n: usize) -> u64 {
+    u64::try_from(n).unwrap_or(u64::MAX)
+}
+
+/// One memoized block and the proposal that last used it.
+#[derive(Debug)]
+struct MemoEntry {
+    block: Arc<[i64]>,
+    last_used: u64,
+}
+
+/// Deterministic work counters of an [`IrDeltaEvaluator`], read through
+/// [`IrDeltaEvaluator::work_counters`]. Plain integers, no clocks: the
+/// same sequence of calls yields the same counters on any host.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DeltaWorkCounters {
+    /// Floorplans built: every `rebase` and every `propose`.
+    pub proposals: u64,
+    /// Ranges whose block was found in the memo.
+    pub memo_hits: u64,
+    /// Ranges whose block was built on a memo miss (corridors included).
+    pub blocks_scored: u64,
+    /// IR cells of the blocks built on a miss.
+    pub cells_scored: u64,
+    /// Blocks the memo holds now.
+    pub memo_entries: u64,
+    /// Blocks dropped by the recency window so far.
+    pub memo_evicted: u64,
 }
 
 /// FNV-1a over a snapshot's exact cut vectors, Q32 totals, and cost
@@ -151,17 +208,19 @@ struct Snapshot {
 pub struct IrDeltaEvaluator {
     model: IrregularGridModel,
     lf: LnFactorials,
-    memo: BTreeMap<Vec<i64>, Arc<[i64]>>,
-    memo_capacity: usize,
+    memo: BTreeMap<Vec<i64>, MemoEntry>,
     committed: Snapshot,
     proposed: Snapshot,
     pending: bool,
+    /// `memo_entries` is filled in on read.
+    counters: DeltaWorkCounters,
     // Reusable scratch (steady-state proposals allocate only on memo miss).
     raw_cuts: Vec<i64>,
     key: Vec<i64>,
     xs: Vec<i64>,
     ys: Vec<i64>,
     fblock: Vec<f64>,
+    qblock: Vec<i64>,
     pairs: Vec<(f64, f64)>,
 }
 
@@ -174,16 +233,27 @@ impl IrDeltaEvaluator {
             model,
             lf: LnFactorials::up_to(0),
             memo: BTreeMap::new(),
-            memo_capacity: DEFAULT_MEMO_CAPACITY,
             committed: Snapshot::default(),
             proposed: Snapshot::default(),
             pending: false,
+            counters: DeltaWorkCounters::default(),
             raw_cuts: Vec::new(),
             key: Vec::new(),
             xs: Vec::new(),
             ys: Vec::new(),
             fblock: Vec::new(),
+            qblock: Vec::new(),
             pairs: Vec::new(),
+        }
+    }
+
+    /// The session's work so far: proposals built, memo hits, blocks and
+    /// cells scored, live and evicted memo entries.
+    #[must_use]
+    pub fn work_counters(&self) -> DeltaWorkCounters {
+        DeltaWorkCounters {
+            memo_entries: count(self.memo.len()),
+            ..self.counters
         }
     }
 
@@ -272,6 +342,8 @@ impl IrDeltaEvaluator {
     /// when the merged cut sets coincide — the result is independent of
     /// it either way.
     fn build_proposal(&mut self, chip: &Rect, segments: &[(Point, Point)]) -> f64 {
+        self.counters.proposals += 1;
+        let epoch = self.counters.proposals;
         let grid = UnitGrid::new(chip, self.model.pitch);
         let min_gap = if self.model.merge_lines { 2 } else { 1 };
 
@@ -340,14 +412,16 @@ impl IrDeltaEvaluator {
                 }
             }
 
-            let block = if let Some(hit) = self.memo.get(&self.key) {
-                Arc::clone(hit)
+            let block = if let Some(hit) = self.memo.get_mut(&self.key) {
+                hit.last_used = epoch;
+                self.counters.memo_hits += 1;
+                Arc::clone(&hit.block)
             } else {
+                let cells = (ix2 - ix1) * (iy2 - iy1);
+                self.counters.blocks_scored += 1;
+                self.counters.cells_scored += count(cells);
                 let scored: Arc<[i64]> = if corridor {
-                    let cells = (ix2 - ix1) * (iy2 - iy1);
-                    std::iter::repeat(quantize_probability(1.0))
-                        .take(cells)
-                        .collect()
+                    std::iter::repeat(Q32_ONE).take(cells).collect()
                 } else {
                     self.xs.clear();
                     self.xs.push(0);
@@ -361,29 +435,37 @@ impl IrDeltaEvaluator {
                     for j in iy1 + 1..=iy2 {
                         self.ys.push(self.proposed.y_cuts[j] - y0);
                     }
-                    score_block(
+                    score_block_q32(
                         &self.model,
                         range.net_type(),
                         &self.xs,
                         &self.ys,
                         &self.lf,
                         &mut self.fblock,
+                        &mut self.qblock,
                     );
-                    self.fblock
-                        .iter()
-                        .map(|&p| quantize_probability(p))
-                        .collect()
+                    Arc::from(self.qblock.as_slice())
                 };
-                // Deterministic overflow policy: clear and restart. Blocks
-                // are pure functions of their key, so dropping the memo
-                // never changes a result, only re-scores it.
-                if self.memo.len() >= self.memo_capacity {
-                    self.memo.clear();
-                }
-                self.memo.insert(self.key.clone(), Arc::clone(&scored));
+                self.memo.insert(
+                    self.key.clone(),
+                    MemoEntry {
+                        block: Arc::clone(&scored),
+                        last_used: epoch,
+                    },
+                );
                 scored
             };
             self.proposed.blocks.push(block);
+        }
+        // Recency window: drop the blocks no proposal of the last window
+        // used. Blocks are pure functions of their key, so eviction never
+        // changes a result, only re-scores it; the sweep is a pure
+        // function of the call sequence, so the counters repeat too.
+        if epoch % MEMO_WINDOW == 0 {
+            let before = self.memo.len();
+            self.memo
+                .retain(|_, entry| epoch - entry.last_used < MEMO_WINDOW);
+            self.counters.memo_evicted += count(before - self.memo.len());
         }
 
         // Accumulate integer totals. When the merged cut sets (and the
@@ -506,35 +588,43 @@ fn apply_block(
     }
 }
 
-/// Scores one snapped range in span-local coordinates: `xs`/`ys` are the
-/// cumulative cut offsets (`xs[0] = 0`, `xs.last() = g1`), `out` receives
-/// the per-cell probabilities row-major. Same exit-term structure,
-/// exact-threshold path, pin override, and clamp as the retained
-/// evaluator's `accumulate_range`, restated over the whole span (delta
-/// blocks are never band-restricted) with pins mapped to the span's
-/// corner cells (pins sit at the snapped range's corners by
-/// construction) — except that each approximate cell integral is the
-/// closed-form [`ExitCdf`] mass (two `erf` evaluations) instead of a
-/// Simpson pass. The closed form depends on nothing but `(g1, g2, exit)`
-/// and the cell bounds, so scoring a brand-new cut pattern — which under
-/// annealing is every move — costs O(cells) with no quadrature and no
-/// caching, and a fresh session reproduces a warm session's values
-/// bit for bit by construction.
-fn score_block(
+/// Scores one snapped range in span-local coordinates straight into Q32:
+/// `xs`/`ys` are the cumulative cut offsets (`xs[0] = 0`,
+/// `xs.last() = g1`), `out` receives the quantized per-cell
+/// probabilities row-major, and `acc` is `f64` scratch for the
+/// row-plus-column exit sums. Same exit-term structure, exact-threshold
+/// path, pin override, and clamp as the retained evaluator's
+/// `accumulate_range`, restated over the whole span (delta blocks are
+/// never band-restricted) with pins mapped to the span's corner cells
+/// (pins sit at the snapped range's corners by construction) — except
+/// that each approximate cell integral is the closed-form [`ExitCdf`]
+/// mass (two `erf` evaluations) instead of a Simpson pass. The closed
+/// form depends on nothing but `(g1, g2, exit)` and the cell bounds, so
+/// scoring a brand-new cut pattern — which under annealing is every
+/// move — costs O(cells) with no quadrature and no caching, and a fresh
+/// session reproduces a warm session's values bit for bit by
+/// construction.
+///
+/// Every value equals `quantize_probability` of the per-cell oracle's
+/// (the test module's `score_block`) bit for bit; the kernel only skips
+/// work: [`ExitCdf::below_clipped`] returns the saturated values without
+/// an `erf`, the Type I/II column chains are separate loops, and the
+/// pin override, clamp (`quantize_probability` clamps) and quantization
+/// run in the pass that finishes each column.
+fn score_block_q32(
     model: &IrregularGridModel,
     net_type: NetType,
     xs: &[i64],
     ys: &[i64],
     lf: &LnFactorials,
-    out: &mut Vec<f64>,
+    acc: &mut Vec<f64>,
+    out: &mut Vec<i64>,
 ) {
     let ncols = xs.len() - 1;
     let nrows = ys.len() - 1;
     let g1 = xs[ncols];
     let g2 = ys[nrows];
-    let snapped = RoutingRange::from_cells(0, 0, g1, g2, net_type);
     out.clear();
-    out.resize(ncols * nrows, 0.0);
 
     // Pin IR cells: local pin coordinates 0 and g1-1 (resp. g2-1) fall in
     // the first and last cut interval of the span.
@@ -546,17 +636,18 @@ fn score_block(
 
     let use_exact = model.evaluator == Evaluator::Exact || g1 + g2 <= model.exact_threshold;
     if use_exact {
+        let snapped = RoutingRange::from_cells(0, 0, g1, g2, net_type);
         for jy in 0..nrows {
             let y1 = ys[jy];
             let y2 = ys[jy + 1] - 1;
             for jx in 0..ncols {
-                let x1 = xs[jx];
-                let x2 = xs[jx + 1] - 1;
-                out[jy * ncols + jx] = if is_pin(jx, jy) {
-                    1.0
+                out.push(if is_pin(jx, jy) {
+                    Q32_ONE
                 } else {
-                    block_probability_exact(&snapped, lf, x1, x2, y1, y2)
-                };
+                    let x1 = xs[jx];
+                    let x2 = xs[jx + 1] - 1;
+                    quantize_probability(block_probability_exact(&snapped, lf, x1, x2, y1, y2))
+                });
             }
         }
         return;
@@ -575,8 +666,11 @@ fn score_block(
         NetType::TypeI => (y1, y2),
         NetType::TypeII => (g2 - 1 - y2, g2 - 1 - y1),
     };
-
     let base_intervals = model.approx.simpson_intervals;
+    acc.clear();
+    acc.resize(ncols * nrows, 0.0);
+    out.resize(ncols * nrows, 0);
+
     // Row sweep: exits upward through each row's top edge. A cell over
     // unit cells `x1..=x2` integrates `[x1 - c, x2 + c]`; with the
     // continuity correction adjacent cells share their half-integer
@@ -585,93 +679,277 @@ fn score_block(
     // same adaptive Simpson pass the float evaluator uses — still a pure
     // function of the floorplan, just slower, and rare (one unit row per
     // span edge).
-    for jy in 0..nrows {
-        let y1 = ys[jy];
-        let y2 = ys[jy + 1] - 1;
-        let (_, my2) = mirrored(y1, y2);
+    for (jy, row) in acc.chunks_exact_mut(ncols).enumerate() {
+        let (_, my2) = mirrored(ys[jy], ys[jy + 1] - 1);
         if my2 >= g2 - 1 {
             continue; // touches the top boundary: no routes leave upward
         }
         let cdf = ExitCdf::new(g1, g2, my2);
-        if cdf.kind() == ExitKind::Zero {
-            continue;
-        }
-        let row = jy * ncols;
-        if cdf.kind() == ExitKind::Quad {
-            let profile = ExitProfile::new(g1, g2, my2);
-            for jx in 0..ncols {
-                let a = unitf(xs[jx]) - correction;
-                let b = unitf(xs[jx + 1] - 1) + correction;
-                out[row + jx] = profile.integral(a, b, base_intervals);
+        match cdf.kind() {
+            ExitKind::Zero => {}
+            ExitKind::Quad => {
+                let profile = ExitProfile::new(g1, g2, my2);
+                for (jx, cell) in row.iter_mut().enumerate() {
+                    let a = unitf(xs[jx]) - correction;
+                    let b = unitf(xs[jx + 1] - 1) + correction;
+                    *cell = profile.integral(a, b, base_intervals);
+                }
             }
-        } else if correction > 0.0 {
-            let mut lo = cdf.below(unitf(xs[0]) - correction);
-            for jx in 0..ncols {
-                let hi = cdf.below(unitf(xs[jx + 1] - 1) + correction);
-                out[row + jx] = (hi - lo).max(0.0);
-                lo = hi;
+            ExitKind::Closed if correction > 0.0 => {
+                let mut lo = cdf.below_clipped(unitf(xs[0]) - correction);
+                for (jx, cell) in row.iter_mut().enumerate() {
+                    let hi = cdf.below_clipped(unitf(xs[jx + 1] - 1) + correction);
+                    *cell = (hi - lo).max(0.0);
+                    lo = hi;
+                }
             }
-        } else {
-            for jx in 0..ncols {
-                out[row + jx] = cdf.mass(unitf(xs[jx]), unitf(xs[jx + 1] - 1));
+            ExitKind::Closed => {
+                for (jx, cell) in row.iter_mut().enumerate() {
+                    let hi = cdf.below_clipped(unitf(xs[jx + 1] - 1));
+                    *cell = (hi - cdf.below_clipped(unitf(xs[jx]))).max(0.0);
+                }
             }
         }
     }
     // Column sweep: exits rightward through each column's right edge
     // (the axes swap). Type II mirroring reverses the row order, so the
     // shared-boundary chain walks `jy` downward there — either way each
-    // cut is evaluated once.
+    // cut is evaluated once. Each column is finished (pin override,
+    // clamp, quantization) as soon as its exits are in.
     for jx in 0..ncols {
         let x2 = xs[jx + 1] - 1;
-        if x2 >= g1 - 1 {
-            continue; // touches the right boundary
-        }
-        let cdf = ExitCdf::new(g2, g1, x2);
-        if cdf.kind() == ExitKind::Zero {
-            continue;
-        }
-        if cdf.kind() == ExitKind::Quad {
-            let profile = ExitProfile::new(g2, g1, x2);
-            for jy in 0..nrows {
-                let (my1, my2) = mirrored(ys[jy], ys[jy + 1] - 1);
-                out[jy * ncols + jx] += profile.integral(
-                    unitf(my1) - correction,
-                    unitf(my2) + correction,
-                    base_intervals,
-                );
+        // A column touching the right boundary has no rightward exits.
+        if x2 < g1 - 1 {
+            let cdf = ExitCdf::new(g2, g1, x2);
+            match cdf.kind() {
+                ExitKind::Zero => {}
+                ExitKind::Quad => {
+                    let profile = ExitProfile::new(g2, g1, x2);
+                    for jy in 0..nrows {
+                        let (my1, my2) = mirrored(ys[jy], ys[jy + 1] - 1);
+                        acc[jy * ncols + jx] += profile.integral(
+                            unitf(my1) - correction,
+                            unitf(my2) + correction,
+                            base_intervals,
+                        );
+                    }
+                }
+                ExitKind::Closed if correction > 0.0 => {
+                    // Walk cells in ascending mirrored order so adjacent
+                    // cells share their half-integer boundary.
+                    let mut lo = cdf.below_clipped(-correction);
+                    match net_type {
+                        NetType::TypeI => {
+                            for jy in 0..nrows {
+                                let hi = cdf.below_clipped(unitf(ys[jy + 1] - 1) + correction);
+                                acc[jy * ncols + jx] += (hi - lo).max(0.0);
+                                lo = hi;
+                            }
+                        }
+                        NetType::TypeII => {
+                            for jy in (0..nrows).rev() {
+                                let hi = cdf.below_clipped(unitf(g2 - 1 - ys[jy]) + correction);
+                                acc[jy * ncols + jx] += (hi - lo).max(0.0);
+                                lo = hi;
+                            }
+                        }
+                    }
+                }
+                ExitKind::Closed => {
+                    for jy in 0..nrows {
+                        let (my1, my2) = mirrored(ys[jy], ys[jy + 1] - 1);
+                        let hi = cdf.below_clipped(unitf(my2) + correction);
+                        acc[jy * ncols + jx] +=
+                            (hi - cdf.below_clipped(unitf(my1) - correction)).max(0.0);
+                    }
+                }
             }
-        } else if correction > 0.0 {
-            // `mirrored` is monotone in the mirrored coordinate: walk
-            // cells in ascending `my` order so adjacent cells share
-            // their half-integer boundary.
-            let jys: &mut dyn Iterator<Item = usize> = match net_type {
-                NetType::TypeI => &mut (0..nrows),
-                NetType::TypeII => &mut (0..nrows).rev(),
+        }
+        for jy in 0..nrows {
+            let cell = jy * ncols + jx;
+            out[cell] = if is_pin(jx, jy) {
+                Q32_ONE
+            } else {
+                quantize_probability(acc[cell])
             };
-            let mut lo = cdf.below(-correction);
-            for jy in jys {
-                let (_, my2) = mirrored(ys[jy], ys[jy + 1] - 1);
-                let hi = cdf.below(unitf(my2) + correction);
-                out[jy * ncols + jx] += (hi - lo).max(0.0);
-                lo = hi;
-            }
-        } else {
-            for jy in 0..nrows {
-                let (my1, my2) = mirrored(ys[jy], ys[jy + 1] - 1);
-                out[jy * ncols + jx] += cdf.mass(unitf(my1) - correction, unitf(my2) + correction);
-            }
         }
     }
-    // Pin override and clamp, matching the retained evaluator's commit
-    // pass cell for cell.
-    for jy in 0..nrows {
-        for jx in 0..ncols {
-            let cell = &mut out[jy * ncols + jx];
-            *cell = if is_pin(jx, jy) {
-                1.0
+}
+
+/// The per-cell scoring path the fused kernel replaced, kept as its
+/// bit-identity oracle.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// Scores one snapped range in span-local coordinates: `xs`/`ys` are the
+    /// cumulative cut offsets (`xs[0] = 0`, `xs.last() = g1`), `out` receives
+    /// the per-cell probabilities row-major. Same exit-term structure,
+    /// exact-threshold path, pin override, and clamp as the retained
+    /// evaluator's `accumulate_range`, restated over the whole span (delta
+    /// blocks are never band-restricted) with pins mapped to the span's
+    /// corner cells (pins sit at the snapped range's corners by
+    /// construction) — except that each approximate cell integral is the
+    /// closed-form [`ExitCdf`] mass (two `erf` evaluations) instead of a
+    /// Simpson pass. The closed form depends on nothing but `(g1, g2, exit)`
+    /// and the cell bounds, so scoring a brand-new cut pattern — which under
+    /// annealing is every move — costs O(cells) with no quadrature and no
+    /// caching, and a fresh session reproduces a warm session's values
+    /// bit for bit by construction.
+    pub(super) fn score_block(
+        model: &IrregularGridModel,
+        net_type: NetType,
+        xs: &[i64],
+        ys: &[i64],
+        lf: &LnFactorials,
+        out: &mut Vec<f64>,
+    ) {
+        let ncols = xs.len() - 1;
+        let nrows = ys.len() - 1;
+        let g1 = xs[ncols];
+        let g2 = ys[nrows];
+        let snapped = RoutingRange::from_cells(0, 0, g1, g2, net_type);
+        out.clear();
+        out.resize(ncols * nrows, 0.0);
+
+        // Pin IR cells: local pin coordinates 0 and g1-1 (resp. g2-1) fall in
+        // the first and last cut interval of the span.
+        let pins = match net_type {
+            NetType::TypeI => [(0usize, 0usize), (ncols - 1, nrows - 1)],
+            NetType::TypeII => [(0, nrows - 1), (ncols - 1, 0)],
+        };
+        let is_pin = |jx: usize, jy: usize| pins.contains(&(jx, jy));
+
+        let use_exact = model.evaluator == Evaluator::Exact || g1 + g2 <= model.exact_threshold;
+        if use_exact {
+            for jy in 0..nrows {
+                let y1 = ys[jy];
+                let y2 = ys[jy + 1] - 1;
+                for jx in 0..ncols {
+                    let x1 = xs[jx];
+                    let x2 = xs[jx + 1] - 1;
+                    out[jy * ncols + jx] = if is_pin(jx, jy) {
+                        1.0
+                    } else {
+                        block_probability_exact(&snapped, lf, x1, x2, y1, y2)
+                    };
+                }
+            }
+            return;
+        }
+
+        fn unitf(v: i64) -> f64 {
+            v as f64
+        }
+
+        let correction = if model.approx.continuity_correction {
+            0.5
+        } else {
+            0.0
+        };
+        let mirrored = |y1: i64, y2: i64| match net_type {
+            NetType::TypeI => (y1, y2),
+            NetType::TypeII => (g2 - 1 - y2, g2 - 1 - y1),
+        };
+
+        let base_intervals = model.approx.simpson_intervals;
+        // Row sweep: exits upward through each row's top edge. A cell over
+        // unit cells `x1..=x2` integrates `[x1 - c, x2 + c]`; with the
+        // continuity correction adjacent cells share their half-integer
+        // boundary, so the sweep costs one CDF evaluation per cut. Rows on
+        // which the closed form degenerates (extreme exits) fall back to the
+        // same adaptive Simpson pass the float evaluator uses — still a pure
+        // function of the floorplan, just slower, and rare (one unit row per
+        // span edge).
+        for jy in 0..nrows {
+            let y1 = ys[jy];
+            let y2 = ys[jy + 1] - 1;
+            let (_, my2) = mirrored(y1, y2);
+            if my2 >= g2 - 1 {
+                continue; // touches the top boundary: no routes leave upward
+            }
+            let cdf = ExitCdf::new(g1, g2, my2);
+            if cdf.kind() == ExitKind::Zero {
+                continue;
+            }
+            let row = jy * ncols;
+            if cdf.kind() == ExitKind::Quad {
+                let profile = ExitProfile::new(g1, g2, my2);
+                for jx in 0..ncols {
+                    let a = unitf(xs[jx]) - correction;
+                    let b = unitf(xs[jx + 1] - 1) + correction;
+                    out[row + jx] = profile.integral(a, b, base_intervals);
+                }
+            } else if correction > 0.0 {
+                let mut lo = cdf.below(unitf(xs[0]) - correction);
+                for jx in 0..ncols {
+                    let hi = cdf.below(unitf(xs[jx + 1] - 1) + correction);
+                    out[row + jx] = (hi - lo).max(0.0);
+                    lo = hi;
+                }
             } else {
-                cell.clamp(0.0, 1.0)
-            };
+                for jx in 0..ncols {
+                    out[row + jx] = cdf.mass(unitf(xs[jx]), unitf(xs[jx + 1] - 1));
+                }
+            }
+        }
+        // Column sweep: exits rightward through each column's right edge
+        // (the axes swap). Type II mirroring reverses the row order, so the
+        // shared-boundary chain walks `jy` downward there — either way each
+        // cut is evaluated once.
+        for jx in 0..ncols {
+            let x2 = xs[jx + 1] - 1;
+            if x2 >= g1 - 1 {
+                continue; // touches the right boundary
+            }
+            let cdf = ExitCdf::new(g2, g1, x2);
+            if cdf.kind() == ExitKind::Zero {
+                continue;
+            }
+            if cdf.kind() == ExitKind::Quad {
+                let profile = ExitProfile::new(g2, g1, x2);
+                for jy in 0..nrows {
+                    let (my1, my2) = mirrored(ys[jy], ys[jy + 1] - 1);
+                    out[jy * ncols + jx] += profile.integral(
+                        unitf(my1) - correction,
+                        unitf(my2) + correction,
+                        base_intervals,
+                    );
+                }
+            } else if correction > 0.0 {
+                // `mirrored` is monotone in the mirrored coordinate: walk
+                // cells in ascending `my` order so adjacent cells share
+                // their half-integer boundary.
+                let jys: &mut dyn Iterator<Item = usize> = match net_type {
+                    NetType::TypeI => &mut (0..nrows),
+                    NetType::TypeII => &mut (0..nrows).rev(),
+                };
+                let mut lo = cdf.below(-correction);
+                for jy in jys {
+                    let (_, my2) = mirrored(ys[jy], ys[jy + 1] - 1);
+                    let hi = cdf.below(unitf(my2) + correction);
+                    out[jy * ncols + jx] += (hi - lo).max(0.0);
+                    lo = hi;
+                }
+            } else {
+                for jy in 0..nrows {
+                    let (my1, my2) = mirrored(ys[jy], ys[jy + 1] - 1);
+                    out[jy * ncols + jx] +=
+                        cdf.mass(unitf(my1) - correction, unitf(my2) + correction);
+                }
+            }
+        }
+        // Pin override and clamp, matching the retained evaluator's commit
+        // pass cell for cell.
+        for jy in 0..nrows {
+            for jx in 0..ncols {
+                let cell = &mut out[jy * ncols + jx];
+                *cell = if is_pin(jx, jy) {
+                    1.0
+                } else {
+                    cell.clamp(0.0, 1.0)
+                };
+            }
         }
     }
 }
@@ -679,6 +957,7 @@ fn score_block(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::irregular::ApproxConfig;
     use crate::{CongestionModel, DeltaCongestionSession};
     use irgrid_geom::Um;
 
@@ -782,24 +1061,195 @@ mod tests {
         );
     }
 
+    /// A deterministic churn of `crossing_segments`: every step moves
+    /// one endpoint, so blocks keep changing shape and the memo keeps
+    /// both hitting (unmoved ranges) and missing (moved ones).
+    fn churn_step(segments: &mut [(Point, Point)], step: i64) {
+        let k = (step as usize) % segments.len();
+        segments[k].1 = pt(
+            60 + (segments[k].1.x.0 + 90 * (step + 1)) % 780,
+            60 + (segments[k].1.y.0 + 150 + 30 * step) % 780,
+        );
+    }
+
     #[test]
-    fn memo_overflow_clears_deterministically() {
+    fn memo_window_bounds_entries_deterministically() {
         let model = IrregularGridModel::new(Um(30));
         let the_chip = chip(900, 900);
-        let mut tiny = IrDeltaEvaluator::new(model);
-        tiny.memo_capacity = 2;
         let mut segments = crossing_segments();
-        tiny.rebase(&the_chip, &segments);
-        for step in 0..10 {
-            segments[0].1 = pt(840 - 30 * step, 600 - 45 * step);
-            tiny.propose(&the_chip, &segments);
-            tiny.commit();
-            assert!(tiny.memo.len() <= 3, "memo grew past its cap + 1 insert");
+        let mut warm = IrDeltaEvaluator::new(model);
+        warm.rebase(&the_chip, &segments);
+        for step in 0..(5 * MEMO_WINDOW as i64) {
+            let committed = segments.clone();
+            churn_step(&mut segments, step);
+            warm.propose(&the_chip, &segments);
+            if step % 3 == 0 {
+                warm.undo();
+                segments = committed;
+            } else {
+                warm.commit();
+            }
+            // Every entry was used within the last two windows, and right
+            // after a sweep within the last one.
+            let epoch = warm.counters.proposals;
+            let age_bound = if epoch % MEMO_WINDOW == 0 {
+                MEMO_WINDOW
+            } else {
+                2 * MEMO_WINDOW
+            };
+            for entry in warm.memo.values() {
+                assert!(
+                    epoch - entry.last_used < age_bound,
+                    "step {step}: entry last used at {} survives epoch {epoch}",
+                    entry.last_used
+                );
+            }
+            // Hence at most two windows' worth of ranges' blocks.
+            let bound = 2 * MEMO_WINDOW * count(segments.len());
+            assert!(warm.work_counters().memo_entries <= bound);
             assert_bit_identical(
-                &tiny,
+                &warm,
                 &fresh_rebase(model, &the_chip, &segments),
-                &format!("capped step {step}"),
+                &format!("windowed step {step}"),
             );
+        }
+        let counters = warm.work_counters();
+        assert!(counters.memo_evicted > 0, "the window never evicted");
+        assert_eq!(counters.memo_entries, count(warm.memo.len()));
+    }
+
+    #[test]
+    fn work_counters_repeat_for_a_fixed_sequence() {
+        let model = IrregularGridModel::new(Um(30));
+        let the_chip = chip(900, 900);
+        let run = || {
+            let mut session = IrDeltaEvaluator::new(model);
+            let mut segments = crossing_segments();
+            let mut trace = vec![{
+                session.rebase(&the_chip, &segments);
+                session.work_counters()
+            }];
+            for step in 0..(3 * MEMO_WINDOW as i64) {
+                churn_step(&mut segments, step);
+                session.propose(&the_chip, &segments);
+                if step % 3 == 0 {
+                    session.undo();
+                } else {
+                    session.commit();
+                }
+                trace.push(session.work_counters());
+            }
+            trace
+        };
+        let first = run();
+        assert_eq!(first, run(), "counters differ between identical runs");
+        let last = first[first.len() - 1];
+        assert_eq!(last.proposals, 1 + 3 * MEMO_WINDOW);
+        // Every range of every proposal is either a hit or a scored block.
+        let ranges = count(crossing_segments().len()) * last.proposals;
+        assert_eq!(last.memo_hits + last.blocks_scored, ranges);
+        assert!(last.memo_hits > 0 && last.memo_evicted > 0);
+        assert!(last.cells_scored >= last.blocks_scored);
+    }
+
+    /// Span-local cut offsets `0 = xs[0] < … < xs[n] = g` from arbitrary
+    /// raw values (each folded into `1..g`).
+    fn offsets(g: i64, raw: &[i64]) -> Vec<i64> {
+        let mut cuts: Vec<i64> = raw.iter().map(|&r| 1 + r.rem_euclid(g - 1)).collect();
+        cuts.extend([0, g]);
+        cuts.sort_unstable();
+        cuts.dedup();
+        cuts
+    }
+
+    /// `(fused kernel, oracle)` Q32 blocks of one span.
+    fn fused_and_oracle(
+        model: &IrregularGridModel,
+        net_type: NetType,
+        xs: &[i64],
+        ys: &[i64],
+    ) -> (Vec<i64>, Vec<i64>) {
+        let lf = LnFactorials::up_to((xs[xs.len() - 1] + ys[ys.len() - 1] + 2) as usize);
+        let (mut acc, mut fused) = (Vec::new(), Vec::new());
+        score_block_q32(model, net_type, xs, ys, &lf, &mut acc, &mut fused);
+        let mut probabilities = Vec::new();
+        oracle::score_block(model, net_type, xs, ys, &lf, &mut probabilities);
+        let reference = probabilities
+            .iter()
+            .map(|&p| quantize_probability(p))
+            .collect();
+        (fused, reference)
+    }
+
+    /// The model variants the kernel branches on.
+    fn kernel_models() -> [IrregularGridModel; 3] {
+        let base = IrregularGridModel::new(Um(30));
+        [
+            base,
+            base.with_approx_config(ApproxConfig {
+                continuity_correction: false,
+                ..ApproxConfig::default()
+            }),
+            base.with_evaluator(Evaluator::Exact),
+        ]
+    }
+
+    #[test]
+    fn fused_kernel_matches_oracle_on_every_path() {
+        // Hand-picked spans covering each branch: Type I and II, cuts at
+        // unit rows/columns 1 and g−1 (the ExitKind::Quad exit lines),
+        // g1 + g2 at and below the exact threshold, one-interval spans,
+        // extreme aspect ratios — under each model variant.
+        let spans: [(i64, i64, &[i64], &[i64]); 8] = [
+            (31, 21, &[1, 5, 9, 20, 30], &[1, 4, 11, 19, 20]),
+            (40, 8, &[3, 17, 33], &[1, 2, 6, 7]),
+            (8, 40, &[1, 7], &[10, 20, 30, 39]),
+            (5, 5, &[1, 3, 4], &[2]),
+            (4, 6, &[2], &[1, 5]),
+            (2, 300, &[1], &[1, 100, 150, 299]),
+            (300, 3, &[1, 2, 150, 299], &[1, 2]),
+            (60, 60, &[], &[]),
+        ];
+        for model in kernel_models() {
+            for net_type in [NetType::TypeI, NetType::TypeII] {
+                for &(g1, g2, xr, yr) in &spans {
+                    let (xs, ys) = (offsets(g1, xr), offsets(g2, yr));
+                    let (fused, reference) = fused_and_oracle(&model, net_type, &xs, &ys);
+                    assert_eq!(fused, reference, "{g1}x{g2} {net_type:?} {model:?}");
+                }
+            }
+        }
+        // The Quad fallback is really taken by the first span.
+        assert_eq!(ExitCdf::new(31, 21, 0).kind(), ExitKind::Quad);
+        assert_eq!(ExitCdf::new(31, 21, 19).kind(), ExitKind::Quad);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        /// The fused Q32 kernel reproduces the per-cell oracle bit for bit
+        /// on generated spans: both net types, every model variant,
+        /// extents from the exact-threshold range up to extreme aspect
+        /// ratios, random cut patterns (which hit the Quad exit lines
+        /// whenever a cut lands at 1 or g−1).
+        fn fused_kernel_matches_oracle(
+            net in 0u8..2,
+            variant in 0usize..3,
+            scale in 0usize..3,
+            g1_raw in 0i64..1_000_000,
+            g2_raw in 0i64..1_000_000,
+            xr in proptest::collection::vec(0i64..1_000_000, 0..24),
+            yr in proptest::collection::vec(0i64..1_000_000, 0..24),
+        ) {
+            let bound = [8, 64, 400][scale];
+            let (g1, g2) = (2 + g1_raw % bound, 2 + g2_raw % bound);
+            let net_type = if net == 0 { NetType::TypeI } else { NetType::TypeII };
+            let model = kernel_models()[variant];
+            // Exact scoring of huge spans is slow and adds no coverage.
+            proptest::prop_assume!(variant != 2 || g1 + g2 <= 200);
+            let (xs, ys) = (offsets(g1, &xr), offsets(g2, &yr));
+            let (fused, reference) = fused_and_oracle(&model, net_type, &xs, &ys);
+            proptest::prop_assert_eq!(fused, reference);
         }
     }
 

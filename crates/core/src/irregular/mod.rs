@@ -14,7 +14,7 @@ mod evaluator;
 mod exact;
 
 pub use approx::{block_probability_approx, function1_approx, function1_exact, ApproxConfig};
-pub use delta::IrDeltaEvaluator;
+pub use delta::{DeltaWorkCounters, IrDeltaEvaluator};
 pub use evaluator::CongestionEvaluator;
 pub use exact::block_probability_exact;
 

@@ -50,8 +50,8 @@ pub mod score;
 pub use fixed::{CellArithmetic, FixedCongestionMap, FixedGridModel};
 pub use grid::UnitGrid;
 pub use irregular::{
-    ApproxConfig, CongestionEvaluator, Evaluator, IrCongestionMap, IrDeltaEvaluator,
-    IrregularGridModel,
+    ApproxConfig, CongestionEvaluator, DeltaWorkCounters, Evaluator, IrCongestionMap,
+    IrDeltaEvaluator, IrregularGridModel,
 };
 pub use lz::{LzCongestionMap, LzShapeModel};
 pub use routing::{NetType, RoutingRange};

@@ -21,6 +21,7 @@ mod quantize;
 mod simpson;
 
 pub use binomial::{binomial_f64, binomial_u128, ln_binomial, ln_gamma, LnFactorials};
+pub(crate) use normal::ERF_LUT_CUTOFF;
 pub use normal::{erf, erf_gauss_lut, erf_with_gauss, normal_cdf, normal_pdf};
 pub use quantize::{dequantize_total, quantize_probability, PROBABILITY_FRACTION_BITS};
 pub use simpson::simpson;

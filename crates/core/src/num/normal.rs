@@ -87,6 +87,10 @@ pub fn erf_with_gauss(x: f64) -> (f64, f64) {
     (signed, gauss)
 }
 
+/// `|x|` from which [`erf_gauss_lut`] returns exactly `(±1, 0)`: `erf(x) = 1`
+/// and `exp(−x²) = 0` to f64 round-off there (`exp(−6.5²) · poly < 1e-19`).
+pub(crate) const ERF_LUT_CUTOFF: f64 = 6.5;
+
 /// Tabulated `(erf(x), exp(−x²))` with linear interpolation — the fast
 /// path of [`erf_with_gauss`] for inner loops that evaluate millions of
 /// antiderivative boundaries per floorplan move.
@@ -114,9 +118,7 @@ pub fn erf_with_gauss(x: f64) -> (f64, f64) {
 pub fn erf_gauss_lut(x: f64) -> (f64, f64) {
     /// Samples per unit of `|x|`.
     const STEP_INV: f64 = 128.0;
-    /// Cutoff beyond which `erf(x) = 1` and `exp(−x²) = 0` to f64
-    /// round-off (`exp(−6.5²) · poly < 1e-19`).
-    const CUTOFF: f64 = 6.5;
+    const CUTOFF: f64 = ERF_LUT_CUTOFF;
     const LEN: usize = (6.5 * 128.0) as usize + 2; // irgrid-lint: allow(C1): exact small constant product
     static TABLE: std::sync::OnceLock<Vec<(f64, f64)>> = std::sync::OnceLock::new();
     let table = TABLE.get_or_init(|| {

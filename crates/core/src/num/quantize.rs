@@ -26,8 +26,12 @@ const SCALE: f64 = (1u64 << PROBABILITY_FRACTION_BITS) as f64;
 /// Quantizes a probability to Q32 fixed point, clamping to `[0, 1]`
 /// first (scoring kernels can overshoot 1 by an ulp).
 ///
-/// The result is in `0..=2³²`; quantization is deterministic (`round`
-/// ties away from zero, the IEEE default for `f64::round`).
+/// The result is in `0..=2³²`; quantization is deterministic and rounds
+/// half away from zero, exactly as `f64::round` would. It is computed
+/// without `round`, which on the baseline x86-64 target (no SSE4.1) is a
+/// libm call: for `x ∈ [0, 2³²]` the truncation `t = ⌊x⌋` is exact and
+/// so is the fraction `x − t`, hence `t + (x − t ≥ ½)` equals
+/// `round(x)`.
 #[must_use]
 pub fn quantize_probability(p: f64) -> i64 {
     let clamped = if p.is_finite() {
@@ -35,8 +39,14 @@ pub fn quantize_probability(p: f64) -> i64 {
     } else {
         0.0
     };
-    // irgrid-lint: allow(C1): clamped·2³² is in [0, 2³²] ⊂ i64 after round
-    (clamped * SCALE).round() as i64
+    let scaled = clamped * SCALE;
+    // irgrid-lint: allow(C1): scaled ∈ [0, 2³²]: truncating to i64 and widening back are exact
+    let (whole, whole_f64) = (scaled as i64, scaled as i64 as f64);
+    if scaled - whole_f64 >= 0.5 {
+        whole + 1
+    } else {
+        whole
+    }
 }
 
 /// Converts an `i64` sum of quantized probabilities back to `f64`.
@@ -75,6 +85,38 @@ mod tests {
             let p = f64::from(k) / 1000.0;
             let q = quantize_probability(p);
             assert!((dequantize_total(q) - p).abs() <= 0.5 / (SCALE));
+        }
+    }
+
+    #[test]
+    fn round_free_quantization_matches_f64_round() {
+        // Every scaled value x ∈ [0, 2³²] must quantize to round(x): the
+        // integers, the exact ties k + ½, the neighbours one ulp either
+        // side of each tie, and ½ − ulp (the largest value that rounds
+        // down to 0).
+        fn reference(p: f64) -> i64 {
+            (p.clamp(0.0, 1.0) * SCALE).round() as i64
+        }
+        // One ulp down / up for positive finite values.
+        let down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let mut scaled = vec![0.0, 1.0, down(0.5), SCALE, SCALE - 0.5];
+        for k in [0.0, 1.0, 2.0, 7.0, 1e3, 65_535.0, 1e6, 2.5e9, SCALE - 1.0] {
+            let tie = k + 0.5;
+            scaled.extend([k, tie, down(tie), up(tie)]);
+        }
+        for x in scaled {
+            let p = x / SCALE; // exact: division by a power of two
+            assert_eq!(
+                quantize_probability(p),
+                reference(p),
+                "x = {x:e} ({:#018x})",
+                x.to_bits()
+            );
+        }
+        for k in 0..=4096 {
+            let p = f64::from(k).sin().abs() * 0.999_9 + f64::from(k) * 1e-9;
+            assert_eq!(quantize_probability(p), reference(p), "p = {p}");
         }
     }
 

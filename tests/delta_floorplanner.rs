@@ -123,3 +123,31 @@ fn ami33_delta_run_improves_and_stays_consistent() {
     let eval = problem.evaluate(&result.best);
     assert!(eval.placement.check_consistency().is_none());
 }
+
+#[test]
+fn apte_delta_anneal_golden_bits() {
+    // A regression pin on absolute values. The delta-vs-fresh-rebase
+    // properties above compare the kernel with itself, so a scoring
+    // change that shifts both sides equally passes them; these bits were
+    // recorded before the fused Q32 kernel and the memo window landed
+    // and may only change with a deliberate change to the model.
+    use irgrid::congestion::{DeltaCongestion, DeltaCongestionSession};
+    let circuit = McncCircuit::Apte.circuit();
+    let pitch = Um(McncCircuit::Apte.paper_grid_pitch_um());
+    let model = IrregularGridModel::new(pitch);
+    let problem = FloorplanProblem::new(&circuit, pitch, Weights::routability(), Some(model));
+    let schedule = Schedule {
+        moves_per_temperature: 40,
+        max_temperatures: 8,
+        ..Schedule::quick()
+    };
+    let result = Annealer::new(schedule).run_delta(&problem, 13);
+    assert_eq!(result.stats.accepted + result.stats.rejected, 320);
+    assert_eq!(result.best_cost.to_bits(), 0x4001_51e2_2c05_340b);
+
+    let best = problem.evaluate(&result.best);
+    let mut session = model.delta_session();
+    let congestion = session.rebase(&best.placement.chip(), &best.segments);
+    assert_eq!(congestion.to_bits(), 0x3fe8_a09a_d83b_e2b0);
+    assert_eq!(session.committed_fingerprint(), 0xef7e_496b_72fb_affc);
+}
